@@ -16,7 +16,9 @@
 //!   unchanged on the golden corpus;
 //! * a **trailing length byte** per record, so the newest-first scans
 //!   the cooldown/speed/rapid-fire detectors rely on can walk backwards
-//!   without an offset table.
+//!   without an offset table — and so can the reward windows' header
+//!   walk ([`PackedHistory::headers_rev`]), which reads only the venue,
+//!   the Δt and the meta byte of each record and never the coordinates.
 //!
 //! Record layout: `[venue varint][Δt zigzag varint][meta u8][coords][len u8]`,
 //! where `coords` is either two zigzag varints (quantized) or 16 raw
@@ -333,6 +335,19 @@ impl PackedHistory {
         (record, dt)
     }
 
+    /// Walks record headers newest first: venue, timestamp and the
+    /// rewarded bit, without decoding or validating coordinates. Each
+    /// step reads the venue varint, the Δt varint and the meta byte,
+    /// then jumps back over the previous record by its trailer byte.
+    /// Yields exactly what `iter().rev()` yields for those three fields.
+    pub fn headers_rev(&self) -> HeaderIter<'_> {
+        HeaderIter {
+            buf: &self.buf,
+            back_pos: self.buf.len(),
+            back_at: self.last_at,
+        }
+    }
+
     /// Iterates all records, oldest first; double-ended, so `.rev()`
     /// gives the newest-first order the detectors scan in.
     pub fn iter(&self) -> HistoryIter<'_> {
@@ -417,6 +432,50 @@ impl DoubleEndedIterator for HistoryIter<'_> {
 }
 
 impl ExactSizeIterator for HistoryIter<'_> {}
+
+/// The fields of a record the reward windows read: everything but the
+/// coordinates, the source and the flags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordHeader {
+    /// Venue checked into.
+    pub venue: VenueId,
+    /// When.
+    pub at: Timestamp,
+    /// Whether the check-in passed verification and earned rewards.
+    pub rewarded: bool,
+}
+
+/// Newest-first header walk over a [`PackedHistory`]; see
+/// [`PackedHistory::headers_rev`].
+pub struct HeaderIter<'a> {
+    buf: &'a [u8],
+    /// One past the trailer byte of the next record.
+    back_pos: usize,
+    /// Absolute timestamp of the next record.
+    back_at: u64,
+}
+
+impl Iterator for HeaderIter<'_> {
+    type Item = RecordHeader;
+
+    fn next(&mut self) -> Option<RecordHeader> {
+        if self.back_pos == 0 {
+            return None;
+        }
+        let rec_start = self.back_pos - 1 - usize::from(self.buf[self.back_pos - 1]);
+        let mut pos = rec_start;
+        let venue = VenueId(varint_read(self.buf, &mut pos));
+        let dt = unzigzag(varint_read(self.buf, &mut pos));
+        let header = RecordHeader {
+            venue,
+            at: Timestamp(self.back_at),
+            rewarded: self.buf[pos] & META_REWARDED != 0,
+        };
+        self.back_pos = rec_start;
+        self.back_at = self.back_at.wrapping_sub(dt as u64);
+        Some(header)
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -433,12 +433,16 @@ impl RewardRule for SpecialsRule {
                 SpecialKind::MayorOnly => None,
                 SpecialKind::EveryCheckin => Some(sp.description.clone()),
                 SpecialKind::Loyalty { visits } => {
+                    // Lifetime visits, header-only, stopping at the
+                    // `visits`-th (zero unlocks on any check-in).
+                    let visits = visits as usize;
                     let count = user
                         .history
-                        .iter()
-                        .filter(|r| r.rewarded && r.venue == ctx.request.venue)
+                        .headers_rev()
+                        .filter(|h| h.rewarded && h.venue == ctx.request.venue)
+                        .take(visits)
                         .count();
-                    (count as u32 >= visits).then(|| sp.description.clone())
+                    (count == visits).then(|| sp.description.clone())
                 }
             })
         };

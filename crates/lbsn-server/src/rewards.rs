@@ -8,8 +8,6 @@
 //! levels (Fig 4.2 compares badge counts across users under the same
 //! policy).
 
-use std::collections::HashSet;
-
 use lbsn_sim::{Duration, Timestamp, DAY, HOUR};
 use serde::{Deserialize, Serialize};
 
@@ -166,9 +164,23 @@ impl VenueLookup for [Venue] {
 /// latest valid check-in (already appended to `user.history`) was at
 /// `venue` at time `now`.
 ///
-/// Badges already held are never re-awarded. Windowed criteria scan the
-/// history from the newest end and stop at the window boundary, so cost
-/// is bounded by per-window activity, not lifetime history.
+/// Badges already held are never re-awarded, so a held badge's window
+/// is not walked at all. Windowed criteria walk record headers from the
+/// newest end (no coordinate decoding) and stop at whichever comes
+/// first, the window boundary or the match that settles the rule:
+///
+/// | badge | window | stops after |
+/// |---|---|---|
+/// | Bender | since the start of day `today − 3` | all 4 days seen |
+/// | Local | 7 days, this venue | 3rd valid check-in |
+/// | Super User | 30 days | 30th valid check-in |
+/// | Crunked / Overshare | 12 hours | 4th / 10th valid check-in |
+/// | Gym Rat | 30 days | 10th valid gym check-in |
+///
+/// So the cost is bounded by the smaller of per-window activity and the
+/// threshold, never by lifetime history. A rule short of its threshold
+/// walks its whole window; for an account that holds Super User but not
+/// Gym Rat, that is the 30-day window.
 pub fn evaluate_badges(
     user: &User,
     venue: &Venue,
@@ -181,6 +193,8 @@ pub fn evaluate_badges(
             earned.push(badge);
         }
     };
+    // Guards the windowed rules, so a held badge's window is not walked.
+    let unheld = |badge: Badge| !user.badges.contains(&badge);
 
     let distinct = user.visited_venues.len();
     check(Badge::Newbie, user.valid_checkins >= 1);
@@ -190,36 +204,32 @@ pub fn evaluate_badges(
     check(Badge::Warhol, distinct >= 100);
 
     // Bender: valid check-ins on 4 consecutive days ending today.
-    let today = now.day();
-    if today >= 3 {
-        let window_start = Timestamp::at_day(today - 3);
-        let mut days = HashSet::new();
-        for r in user.valid_checkins_since(window_start) {
-            days.insert(r.at.day());
-        }
-        check(
-            Badge::Bender,
-            (today - 3..=today).all(|d| days.contains(&d)),
-        );
-    }
+    check(
+        Badge::Bender,
+        unheld(Badge::Bender) && four_day_streak(user, now.day()),
+    );
 
     // Local: 3 valid check-ins at this venue in the trailing week.
     let week_ago = Timestamp(now.secs().saturating_sub(7 * DAY));
     check(
         Badge::Local,
-        user.valid_checkins_at_since(venue.id, week_ago).count() >= 3,
+        unheld(Badge::Local) && at_least(user.rewarded_at_since(venue.id, week_ago), 3),
     );
 
     // Super User: 30 valid check-ins in the trailing 30 days.
     let month_ago = Timestamp(now.secs().saturating_sub(30 * DAY));
     check(
         Badge::SuperUser,
-        user.valid_checkins_since(month_ago).count() >= 30,
+        unheld(Badge::SuperUser) && at_least(user.rewarded_since(month_ago), 30),
     );
 
-    // Crunked / Overshare: bursts within 12 hours.
-    let half_day_ago = Timestamp(now.secs().saturating_sub(12 * HOUR));
-    let burst = user.valid_checkins_since(half_day_ago).count();
+    // Crunked / Overshare: bursts within 12 hours, one walk for both.
+    let burst = if unheld(Badge::Crunked) || unheld(Badge::Overshare) {
+        let half_day_ago = Timestamp(now.secs().saturating_sub(12 * HOUR));
+        user.rewarded_since(half_day_ago).take(10).count()
+    } else {
+        0
+    };
     check(Badge::Crunked, burst >= 4);
     check(Badge::Overshare, burst >= 10);
 
@@ -235,15 +245,45 @@ pub fn evaluate_badges(
 
     // Gym Rat: 10 gym check-ins in the trailing 30 days (check-ins, not
     // distinct venues — loyalty to one gym counts).
-    let gym_visits = user
-        .valid_checkins_since(month_ago)
-        .filter(|r| venues.category_of(r.venue) == Some(VenueCategory::Gym))
-        .count();
-    check(Badge::GymRat, gym_visits >= 10);
+    check(
+        Badge::GymRat,
+        unheld(Badge::GymRat)
+            && at_least(
+                user.rewarded_since(month_ago)
+                    .filter(|h| venues.category_of(h.venue) == Some(VenueCategory::Gym)),
+                10,
+            ),
+    );
 
     check(Badge::SuperMayor, user.mayorships.len() >= 10);
 
     earned
+}
+
+/// Whether `user` has a valid check-in on each of the days `today − 3`
+/// to `today`; the walk stops once all four are seen.
+fn four_day_streak(user: &User, today: u64) -> bool {
+    if today < 3 {
+        return false;
+    }
+    // Bit `today - d` is set once day `d` has a valid check-in. The
+    // window starts on day `today - 3`; later-than-today records (a
+    // concurrent op's) are not part of the streak.
+    let mut streak = 0u8;
+    for h in user.rewarded_since(Timestamp::at_day(today - 3)) {
+        if let Some(back) = today.checked_sub(h.at.day()) {
+            streak |= 1 << back;
+        }
+        if streak == 0b1111 {
+            return true;
+        }
+    }
+    false
+}
+
+/// Whether `walk` yields at least `k` items; stops at the `k`-th.
+fn at_least(walk: impl Iterator, k: usize) -> bool {
+    walk.take(k).count() == k
 }
 
 /// The mayorship window: "the user who checked in to that venue the most
@@ -264,6 +304,10 @@ pub const MAYOR_WINDOW: Duration = Duration(60 * DAY);
 /// * a venue with no mayor is claimed by a single valid check-in — the
 ///   §3.4 observation that "only one check-in is enough" on dormant
 ///   venues.
+///
+/// The incumbent's days are counted first; the challenger's walk then
+/// stops as soon as it strictly exceeds them (at its first in-window
+/// check-in for a vacant seat).
 pub fn decide_mayor(
     venue: &Venue,
     challenger: &User,
@@ -274,17 +318,9 @@ pub fn decide_mayor(
         return false; // already mayor; nothing to transfer
     }
     let window_start = Timestamp(now.secs().saturating_sub(MAYOR_WINDOW.as_secs()));
-    let challenger_days = challenger.distinct_days_at(venue.id, window_start);
-    if challenger_days == 0 {
-        return false;
-    }
-    match incumbent {
-        None => true,
-        Some(inc) => {
-            let incumbent_days = inc.distinct_days_at(venue.id, window_start);
-            challenger_days > incumbent_days
-        }
-    }
+    // The count to beat; a vacant seat needs one day.
+    let bar = incumbent.map_or(0, |inc| inc.distinct_days_at(venue.id, window_start));
+    challenger.distinct_days_at_capped(venue.id, window_start, bar) > bar
 }
 
 #[cfg(test)]
@@ -480,8 +516,10 @@ mod tests {
     fn mayor_claims_vacant_venue_with_one_checkin() {
         let v = venue(1);
         let mut challenger = user(1);
+        let now = Timestamp(100 * DAY);
+        assert!(!decide_mayor(&v, &challenger, None, now));
         add_valid(&mut challenger, 1, 100 * DAY);
-        assert!(decide_mayor(&v, &challenger, None, Timestamp(100 * DAY)));
+        assert!(decide_mayor(&v, &challenger, None, now));
     }
 
     #[test]

@@ -1024,7 +1024,7 @@ impl LbsnServer {
         let (first_of_day, first_visit) = {
             let user = uset.get(uid).unwrap(); // lint:allow(no-unwrap-hot-path): uid validated before entry
             (
-                user.valid_checkins_since(day_start).next().is_none(),
+                user.rewarded_since(day_start).next().is_none(),
                 !user.visited_venues.contains(&req.venue),
             )
         };
@@ -1703,7 +1703,8 @@ mod tests {
                 kind: SpecialKind::Loyalty { visits: 3 },
             }));
         let user = server.register_user(UserSpec::anonymous());
-        for i in 0..3 {
+        // The count stops at the threshold; later visits still unlock.
+        for i in 0..4 {
             let out = server.check_in(&req(user, venue, abq())).unwrap();
             assert!(out.rewarded());
             if i < 2 {
@@ -1716,6 +1717,18 @@ mod tests {
             }
             server.clock().advance(Duration::hours(2));
         }
+    }
+
+    #[test]
+    fn loyalty_special_with_zero_visits_unlocks_on_the_first() {
+        let server = LbsnServer::new(SimClock::new(), ServerConfig::default());
+        let venue = server.register_venue(VenueSpec::new("Deli", abq()).special(crate::Special {
+            description: "Free pickle".into(),
+            kind: SpecialKind::Loyalty { visits: 0 },
+        }));
+        let user = server.register_user(UserSpec::anonymous());
+        let out = server.check_in(&req(user, venue, abq())).unwrap();
+        assert_eq!(out.special_unlocked.as_deref(), Some("Free pickle"));
     }
 
     #[test]

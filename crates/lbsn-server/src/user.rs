@@ -7,7 +7,6 @@
 //! one pointer in [`UserCold`]. `Deref` keeps cold-field call sites
 //! (`u.badges`, `u.friends`, …) unchanged.
 
-use std::collections::HashSet;
 use std::ops::{Deref, DerefMut};
 
 use lbsn_geo::GeoPoint;
@@ -17,11 +16,47 @@ use serde::{Deserialize, Serialize};
 
 use crate::checkin::CheckinRecord;
 use crate::compact::{BadgeSet, CategoryCounts, IdSet};
-use crate::history::{PackedHistory, PackedRecord};
+use crate::history::{PackedHistory, PackedRecord, RecordHeader};
 use crate::{UserId, VenueId};
 
 /// Sentinel for "no rewarded check-in yet" in [`User::latest_rewarded_off`].
 const NO_REWARDED: u32 = u32::MAX;
+
+/// A set of virtual day indices no earlier than `base`: one bit per day
+/// for the 64 days from `base` (the 61 days a 60-day window touches fit),
+/// a sorted spill for later days. Later days occur when a record is
+/// dated well after the deciding op's `now`: the server samples its
+/// clock before taking locks, so a concurrent op can append a newer
+/// record first.
+struct DaySet {
+    base: u64,
+    near: u64,
+    far: Vec<u64>,
+}
+
+impl DaySet {
+    fn new(base: u64) -> Self {
+        DaySet {
+            base,
+            near: 0,
+            far: Vec::new(),
+        }
+    }
+
+    /// Adds `day`, which must be at least `base`.
+    fn insert(&mut self, day: u64) {
+        let offset = day - self.base;
+        if offset < u64::BITS as u64 {
+            self.near |= 1 << offset;
+        } else if let Err(i) = self.far.binary_search(&day) {
+            self.far.insert(i, day);
+        }
+    }
+
+    fn len(&self) -> u32 {
+        self.near.count_ones() + self.far.len() as u32
+    }
+}
 
 /// Parameters for registering a user.
 #[derive(Debug, Clone, Default)]
@@ -215,19 +250,25 @@ impl User {
         self.latest_rewarded_off != NO_REWARDED && self.latest_rewarded_at >= since
     }
 
-    /// Iterates over valid check-ins at `venue` no earlier than `since`,
-    /// newest first. Scans from the end of the time-ordered history, so
-    /// the cost is bounded by the window, not the lifetime history.
-    pub fn valid_checkins_at_since(
+    /// Headers of valid check-ins no earlier than `since`, newest first.
+    /// Header-only: no coordinate is decoded. Like every windowed scan
+    /// here, the walk ends at the first record (valid or not) dated
+    /// before `since`, so its cost is bounded by the window, not the
+    /// lifetime history.
+    pub fn rewarded_since(&self, since: Timestamp) -> impl Iterator<Item = RecordHeader> + '_ {
+        self.history
+            .headers_rev()
+            .take_while(move |h| h.at >= since)
+            .filter(|h| h.rewarded)
+    }
+
+    /// [`User::rewarded_since`] restricted to `venue`.
+    pub fn rewarded_at_since(
         &self,
         venue: VenueId,
         since: Timestamp,
-    ) -> impl Iterator<Item = PackedRecord> + '_ {
-        self.history
-            .iter()
-            .rev()
-            .take_while(move |r| r.at >= since)
-            .filter(move |r| r.rewarded && r.venue == venue)
+    ) -> impl Iterator<Item = RecordHeader> + '_ {
+        self.rewarded_since(since).filter(move |h| h.venue == venue)
     }
 
     /// Number of distinct virtual days with a valid check-in at `venue`
@@ -235,14 +276,25 @@ impl User {
     /// to that venue the most days in the past 60 days", counting days,
     /// not check-ins).
     pub fn distinct_days_at(&self, venue: VenueId, since: Timestamp) -> u32 {
-        let mut days = HashSet::new();
-        for r in self.valid_checkins_at_since(venue, since) {
-            days.insert(r.at.day());
-        }
-        days.len() as u32
+        self.distinct_days_at_capped(venue, since, u32::MAX)
     }
 
-    /// Valid check-ins within `[since, now]`, any venue.
+    /// [`User::distinct_days_at`], except that the walk stops as soon as
+    /// the count exceeds `cap`: the result is exact up to `cap` and
+    /// `cap + 1` for anything larger.
+    pub fn distinct_days_at_capped(&self, venue: VenueId, since: Timestamp, cap: u32) -> u32 {
+        let mut days = DaySet::new(since.day());
+        for h in self.rewarded_at_since(venue, since) {
+            days.insert(h.at.day());
+            if days.len() > cap {
+                break;
+            }
+        }
+        days.len()
+    }
+
+    /// Valid check-ins within `[since, now]`, any venue, fully decoded
+    /// (reference for [`User::rewarded_since`]).
     pub fn valid_checkins_since(
         &self,
         since: Timestamp,

@@ -10,6 +10,8 @@ use lbsn_server::{
 use lbsn_sim::{Duration, SimClock};
 use proptest::prelude::*;
 
+mod oracle;
+
 fn abq() -> GeoPoint {
     GeoPoint::new(35.0844, -106.6504).unwrap()
 }
@@ -313,5 +315,266 @@ proptest! {
         let mut want: Vec<_> = records.iter().filter(|r| r.at >= since).cloned().collect();
         want.reverse();
         prop_assert_eq!(got, want);
+    }
+}
+
+/// Virtual day, in seconds.
+const DAY: u64 = 86_400;
+
+/// The deciding op's time in the reward-window properties: day 100, at
+/// any time of day.
+fn arb_now() -> impl Strategy<Value = u64> {
+    (0..DAY).prop_map(|s| 100 * DAY + s)
+}
+
+/// A `(venue, offset, rewarded)` stream for the reward windows, where
+/// `offset` is seconds after `now − 70 d`. Offsets mix the whole 140-day
+/// span around `now` (records dated after `now` included, some past the
+/// 64-day bitmap), the trailing month and the trailing half day, so
+/// badge thresholds are reachable. Half of the streams are sorted by
+/// time (the shape of a serial history); the rest keep the arbitrary
+/// order concurrent appends can leave. Half are a daily regular's: a
+/// valid check-in at venue 1 on each of the 61 days the mayor window
+/// touches, nothing dated after `now` — the shape that fills a window,
+/// so two of them tie on the mayorship.
+fn arb_reward_stream() -> impl Strategy<Value = Vec<(u64, u64, bool)>> {
+    let offset = prop_oneof![
+        0..=140 * DAY,
+        39 * DAY..=70 * DAY + 3_600,
+        70 * DAY - 13 * 3_600..=70 * DAY + 3_600,
+    ];
+    let record = (1u64..=3, offset, (0u8..5).prop_map(|x| x != 0));
+    (
+        prop::collection::vec(record, 0..120),
+        any::<bool>(),
+        any::<bool>(),
+        0..DAY,
+    )
+        .prop_map(
+            |(mut stream, sorted, daily, time_of_day): (Vec<(u64, u64, bool)>, _, _, _)| {
+                if daily {
+                    for r in &mut stream {
+                        r.1 = r.1.min(70 * DAY);
+                    }
+                    let days = (10..70)
+                        .map(|d| (1, d * DAY + time_of_day, true))
+                        .chain(std::iter::once((1, 70 * DAY, true)));
+                    stream.splice(0..0, days);
+                }
+                if sorted {
+                    stream.sort_by_key(|&(_, offset, _)| offset);
+                }
+                stream
+            },
+        )
+}
+
+/// Venue 1 is a gym, venue 2 a coffee shop, the rest uncategorized.
+struct TestCategories;
+
+impl lbsn_server::rewards::VenueLookup for TestCategories {
+    fn category_of(&self, venue: VenueId) -> Option<lbsn_server::VenueCategory> {
+        match venue.value() {
+            1 => Some(lbsn_server::VenueCategory::Gym),
+            2 => Some(lbsn_server::VenueCategory::Coffee),
+            _ => None,
+        }
+    }
+}
+
+/// Registered users `1..=n` of a fresh server, each with `stream[i]`
+/// appended directly to its history (no pipeline), and the server's
+/// venue 1.
+fn users_with_streams(
+    now: u64,
+    streams: &[&[(u64, u64, bool)]],
+) -> (Vec<lbsn_server::User>, lbsn_server::Venue) {
+    let server = build_world(streams.len() as u64, 1);
+    let base = now - 70 * DAY;
+    let users = streams
+        .iter()
+        .enumerate()
+        .map(|(i, stream)| {
+            let mut u = server
+                .with_user(UserId(i as u64 + 1), |u| u.clone())
+                .unwrap();
+            for &(venue, offset, rewarded) in stream.iter() {
+                u.push_record(lbsn_server::CheckinRecord {
+                    venue: VenueId(venue),
+                    at: lbsn_sim::Timestamp(base + offset),
+                    location: abq(),
+                    source: CheckinSource::MobileApp,
+                    rewarded,
+                    flags: if rewarded {
+                        vec![]
+                    } else {
+                        vec![lbsn_server::CheatFlag::TooFrequent]
+                    },
+                });
+                if rewarded {
+                    u.valid_checkins += 1;
+                    u.visited_venues.insert(VenueId(venue));
+                }
+            }
+            u
+        })
+        .collect();
+    (users, server.venue(VenueId(1)).unwrap())
+}
+
+proptest! {
+    // Cheap cases; enough of them that counts land on each badge
+    // threshold and full windows meet on the mayorship.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The header-only walk yields exactly the venue, timestamp and
+    /// rewarded bit of every record, newest first, for streams in any
+    /// timestamp order and with any coordinate encoding.
+    #[test]
+    fn header_walk_matches_reverse_decode(records in prop::collection::vec(arb_record(), 0..80)) {
+        let mut h = lbsn_server::PackedHistory::new();
+        for r in &records {
+            h.push(r);
+        }
+        let walked: Vec<_> = h.headers_rev().map(|x| (x.venue, x.at, x.rewarded)).collect();
+        let decoded: Vec<_> = h.iter().rev().map(|r| (r.venue, r.at, r.rewarded)).collect();
+        prop_assert_eq!(walked, decoded);
+    }
+
+    /// The bitmap day count equals the reference set count for any
+    /// window start, capped or not.
+    #[test]
+    fn distinct_days_match_the_oracle(
+        now in arb_now(),
+        stream in arb_reward_stream(),
+        venue in 1u64..=3,
+        since_offset in 0..=140 * DAY,
+        cap in 0u32..70,
+    ) {
+        let (users, _) = users_with_streams(now, &[&stream]);
+        let u = &users[0];
+        let since = lbsn_sim::Timestamp(now - 70 * DAY + since_offset);
+        let want = oracle::distinct_days_at(u, VenueId(venue), since);
+        prop_assert_eq!(u.distinct_days_at(VenueId(venue), since), want);
+        prop_assert_eq!(u.distinct_days_at_capped(VenueId(venue), since, cap), want.min(cap + 1));
+    }
+
+    /// The early-exit mayorship decision equals the full count, for a
+    /// vacant seat, a held seat and the challenger's own seat.
+    #[test]
+    fn decide_mayor_matches_the_oracle(
+        now in arb_now(),
+        challenger in arb_reward_stream(),
+        incumbent in arb_reward_stream(),
+        seat in 0u64..3,
+    ) {
+        let (users, mut venue) = users_with_streams(now, &[&challenger, &incumbent]);
+        let (ch, inc) = (&users[0], &users[1]);
+        venue.mayor = match seat {
+            0 => None,
+            1 => Some(inc.id),
+            _ => Some(ch.id),
+        };
+        let holder = venue.mayor.map(|m| &users[m.value() as usize - 1]);
+        let at = lbsn_sim::Timestamp(now);
+        prop_assert_eq!(
+            lbsn_server::rewards::decide_mayor(&venue, ch, holder, at),
+            oracle::decide_mayor(&venue, ch, holder, at)
+        );
+    }
+
+    /// Badge evaluation with held-badge skipping and threshold stops
+    /// awards exactly what the full scans award, whatever is held.
+    #[test]
+    fn evaluate_badges_matches_the_oracle(
+        now in arb_now(),
+        stream in arb_reward_stream(),
+        held in 0u16..1 << 15,
+        mayorships in 0u64..12,
+    ) {
+        let (mut users, venue) = users_with_streams(now, &[&stream]);
+        let u = &mut users[0];
+        for (i, badge) in lbsn_server::Badge::ALL.iter().enumerate() {
+            if held & (1 << i) != 0 {
+                u.badges.insert(*badge);
+            }
+        }
+        for v in 0..mayorships {
+            u.mayorships.insert(VenueId(v + 1));
+        }
+        let at = lbsn_sim::Timestamp(now);
+        prop_assert_eq!(
+            lbsn_server::rewards::evaluate_badges(u, &venue, at, &TestCategories),
+            oracle::evaluate_badges(u, &venue, at, &TestCategories)
+        );
+    }
+}
+
+/// A valid check-in at venue 1 on each of the 61 day indices a 60-day
+/// mayor window touches, as a stream for [`users_with_streams`].
+fn full_window() -> Vec<(u64, u64, bool)> {
+    (0..=60)
+        .rev()
+        .map(|back| (1, (70 - back) * DAY, true))
+        .collect()
+}
+
+/// Challenger (user 1) against the sitting mayor (user 2) of venue 1:
+/// the fast decision, asserted equal to the reference scan.
+fn challenge(now: u64, challenger: &[(u64, u64, bool)], incumbent: &[(u64, u64, bool)]) -> bool {
+    let (users, mut venue) = users_with_streams(now, &[challenger, incumbent]);
+    venue.mayor = Some(users[1].id);
+    let at = lbsn_sim::Timestamp(now);
+    let got = lbsn_server::rewards::decide_mayor(&venue, &users[0], Some(&users[1]), at);
+    assert_eq!(
+        got,
+        oracle::decide_mayor(&venue, &users[0], Some(&users[1]), at)
+    );
+    got
+}
+
+#[test]
+fn full_window_tie_keeps_the_incumbent() {
+    let now = 100 * DAY + 7 * 3_600;
+    assert!(!challenge(now, &full_window(), &full_window()));
+    // One day short of a full window loses the seat to one.
+    let short: Vec<_> = full_window().into_iter().skip(1).collect();
+    assert!(challenge(now, &full_window(), &short));
+}
+
+#[test]
+fn a_late_62nd_day_beats_a_full_window() {
+    // A concurrent op can append a record dated after the deciding op's
+    // `now`; it is in the window and breaks the 61-day tie.
+    let now = 100 * DAY + 7 * 3_600;
+    let mut late = full_window();
+    late.push((1, 71 * DAY, true));
+    assert!(challenge(now, &late, &full_window()));
+}
+
+#[test]
+fn distinct_days_past_the_bitmap_match_the_oracle() {
+    // Records 63, 64 and 100 days after `since`: the last two are past
+    // the 64-day bitmap and must count, once each, without a shift
+    // overflow.
+    let now = 100 * DAY;
+    let stream = [
+        (7, 5, true),
+        (7, 64 * DAY, true),
+        (7, 64 * DAY + 100, true),
+        (7, 100 * DAY, true),
+        (7, 63 * DAY, true),
+        (7, 100 * DAY + 1, true),
+    ];
+    let (users, _) = users_with_streams(now, &[&stream]);
+    let since = lbsn_sim::Timestamp(now - 70 * DAY + 5);
+    let days = users[0].distinct_days_at(VenueId(7), since);
+    assert_eq!(days, 4);
+    assert_eq!(days, oracle::distinct_days_at(&users[0], VenueId(7), since));
+    for cap in 0..5 {
+        assert_eq!(
+            users[0].distinct_days_at_capped(VenueId(7), since, cap),
+            days.min(cap + 1)
+        );
     }
 }
